@@ -178,14 +178,17 @@ let run_cmd =
           | Some a -> a
           | None -> Dmp_core.Annotation.empty ())
     in
+    let image =
+      Dmp_exec.Image.of_trace (Dmp_exec.Trace.capture ?max_insts linked ~input)
+    in
     let base =
-      Dmp_uarch.Sim.run ~config:Dmp_uarch.Config.baseline ?max_insts linked
-        ~input
+      Dmp_uarch.Sim.run_image ~config:Dmp_uarch.Config.baseline ?max_insts
+        linked image
     in
     let dmp =
-      Dmp_uarch.Sim.run
+      Dmp_uarch.Sim.run_image
         ~config:(Providers.config provider_t)
-        ~annotation:ann ?max_insts linked ~input
+        ~annotation:ann ?max_insts linked image
     in
     let algo =
       match provider_t with
@@ -597,22 +600,33 @@ let serve_cmd =
         exit 2
     | Some _ | None -> ());
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+    (* Install the stop handlers before the socket exists: a client
+       may signal as soon as it sees the socket, and the default action
+       would kill the daemon without draining. A signal that arrives
+       before the server is created is replayed once it is. *)
+    let server = ref None and stop_early = ref false in
+    let stop _ =
+      match !server with
+      | Some s -> Dmp_serve.Server.stop s
+      | None -> stop_early := true
+    in
+    Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
+    Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
     let service =
       Dmp_serve.Service.create ?max_insts ?cache_dir:cache_dir ?jobs
         ?mem_budget ?response_budget ()
     in
-    let server =
+    let s =
       Dmp_serve.Server.create ~service ~unix_path:socket ?tcp_port:tcp ()
     in
-    let stop _ = Dmp_serve.Server.stop server in
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-    Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
+    server := Some s;
+    if !stop_early then Dmp_serve.Server.stop s;
     Printf.printf "dmp serve: listening on %s%s (jobs=%d)\n%!" socket
       (match tcp with
       | Some p -> Printf.sprintf " and 127.0.0.1:%d" p
       | None -> "")
       (Dmp_serve.Service.jobs service);
-    Dmp_serve.Server.run server;
+    Dmp_serve.Server.run s;
     (* Drained: every accepted request has been answered, so the final
        stats dump is complete. *)
     print_string (Dmp_serve.Service.stats_text service)

@@ -2,7 +2,7 @@
    motivates the paper's introduction.
 
    Static predication eliminates the branch entirely (both arms always
-   execute, arithmetic selects reconcile), so it can never mispredict —
+   execute, select instructions reconcile), so it can never mispredict —
    but it pays the both-arms cost on every execution, even in phases
    where the branch is perfectly predictable, and it cannot convert
    arms with stores or calls. DMP predicates the same branch *only*
@@ -67,12 +67,15 @@ let () =
   in
   let linked = Linked.link program in
   let profile = Dmp_profile.Profile.collect linked ~input in
-  let converted, stats = Dmp_core.If_convert.run linked profile in
-  Fmt.pr "if-conversion: %d converted, %d rejected by shape, %d by profile@."
-    stats.Dmp_core.If_convert.converted
-    stats.Dmp_core.If_convert.rejected_shape
-    stats.Dmp_core.If_convert.rejected_profile;
-  let conv_linked = Linked.link converted in
+  let r = Dmp_transform.Pipeline.run linked profile in
+  let stats = r.Dmp_transform.Pipeline.stats in
+  Fmt.pr
+    "if-conversion: %d converted, %d melded, %d rejected by shape, %d by \
+     profile@."
+    stats.Dmp_transform.Stats.converted stats.Dmp_transform.Stats.melded
+    stats.Dmp_transform.Stats.rejected_shape
+    stats.Dmp_transform.Stats.rejected_profile;
+  let conv_linked = r.Dmp_transform.Pipeline.linked in
   (* semantics must be preserved *)
   let out p =
     let emu = Dmp_exec.Emulator.create p ~input in

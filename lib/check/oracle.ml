@@ -66,7 +66,7 @@ let check_streams ?max_insts linked ~input trace image =
          "live stream continues past the %d events of a complete trace" n);
   List.rev !out
 
-let diff_stats ?(rule = "oracle-stats") ~label ~left ~right a b =
+let diff_stats ~rule ~label ~left ~right a b =
   match stats_mismatches a b with
   | [] -> []
   | ms ->
@@ -80,26 +80,6 @@ let diff_stats ?(rule = "oracle-stats") ~label ~left ~right a b =
         D.errorf ~rule "%s: %s and %s statistics disagree on %d field(s): %s"
           label left right (List.length ms) fields;
       ]
-
-let sim_diff ?max_insts linked ~input trace image ~label config annotation =
-  let live = Sim.run ~config ?annotation ?max_insts linked ~input in
-  let replay = Sim.run_replay ~config ?annotation ?max_insts linked trace in
-  let img = Sim.run_image ~config ?annotation ?max_insts linked image in
-  diff_stats ~label ~left:"live" ~right:"replay" live replay
-  @ diff_stats ~label ~left:"live" ~right:"image" live img
-
-let check_sims ?max_insts ?annotation linked ~input trace image =
-  sim_diff ?max_insts linked ~input trace image ~label:"baseline"
-    Config.baseline None
-  @
-  match annotation with
-  | None -> []
-  | Some ann ->
-      sim_diff ?max_insts linked ~input trace image ~label:"dmp" Config.dmp
-        (Some ann)
-
-let check_dmp_sim ?max_insts ~label ann linked ~input trace image =
-  sim_diff ?max_insts linked ~input trace image ~label Config.dmp (Some ann)
 
 (* ---- checkpoints ---- *)
 
@@ -358,16 +338,12 @@ let run ?max_insts ?(annotations = []) linked ~input =
   let trace = Trace.capture ?max_insts linked ~input in
   let image = Image.of_trace trace in
   check_streams ?max_insts linked ~input trace image
-  @ sim_diff ?max_insts linked ~input trace image ~label:"baseline"
-      Config.baseline None
   @ check_checkpoints ?max_insts ~label:"baseline" Config.baseline None
       linked image
   @ List.concat_map
       (fun (label, ann) ->
-        let label = Printf.sprintf "dmp[%s]" label in
-        sim_diff ?max_insts linked ~input trace image ~label Config.dmp
-          (Some ann)
-        @ check_checkpoints ?max_insts ~label Config.dmp (Some ann) linked
-            image)
+        check_checkpoints ?max_insts
+          ~label:(Printf.sprintf "dmp[%s]" label)
+          Config.dmp (Some ann) linked image)
       annotations
   @ check_profiles ?max_insts linked ~input trace

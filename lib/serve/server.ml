@@ -6,13 +6,15 @@
    underneath runs on the runner's domains).
 
    Shutdown is cooperative: [stop] (callable from a signal handler)
-   writes one byte to a self-pipe, which wakes the accept loop's
-   [select]; the loop closes the listeners (new connections are
-   refused from that point), then waits until every connection thread
-   has drained — a thread finishes its in-flight request, writes the
-   response, notices [stopping] and exits. Only then does [run]
-   return, so the caller can dump final stats knowing they cover every
-   answered request. *)
+   sets [stopping] and writes one byte to a self-pipe, which wakes the
+   accept loop's [select]. The [select] also polls every 0.2 s, as
+   [serve_conn] does, so a stop whose wake-up byte is lost (say, to a
+   full pipe) is still seen. The loop then closes the listeners (new
+   connections are refused from that point), then waits until every
+   connection thread has drained — a thread finishes its in-flight
+   request, writes the response, notices [stopping] and exits. Only
+   then does [run] return, so the caller can dump final stats knowing
+   they cover every answered request. *)
 
 type t = {
   service : Service.t;
@@ -138,7 +140,7 @@ let accept_one t l =
 let run t =
   let rec loop () =
     if not t.stopping then begin
-      match Unix.select (t.stop_r :: t.listeners) [] [] (-1.) with
+      match Unix.select (t.stop_r :: t.listeners) [] [] 0.2 with
       | exception Unix.Unix_error (EINTR, _, _) -> loop ()
       | ready, _, _ ->
           if not (List.mem t.stop_r ready) then begin

@@ -33,7 +33,7 @@ val run : t -> unit
 
 val stop : t -> unit
 (** Request shutdown; safe to call from a signal handler or any
-    thread. Idempotent. *)
+    thread, before or during {!run}. Idempotent. *)
 
 val service : t -> Service.t
 val accepted : t -> int

@@ -10,12 +10,11 @@
    cache hierarchy). Retirement is in-order through a reorder buffer;
    fetch stalls when the ROB is full.
 
-   The correct path is supplied three ways with bit-identical results:
-   a live emulator or a packed-trace cursor (both behind [Source.t]),
-   or a pre-decoded [Image.t], for which [fetch_image_cycle] mirrors
-   the generic fetch loop with per-event array reads instead of cursor
-   decoding and accessor calls — the experiment sweep replays each
-   image hundreds of times, so this is the simulator's hottest path.
+   The correct path is a pre-decoded [Image.t]: [fetch_image_cycle]
+   reads each event's fields straight from the image's flat buffers.
+   The experiment sweep replays each image hundreds of times, so this
+   is the simulator's hottest path. [run] captures and decodes an
+   image first, so every simulation runs the same fetch loop.
 
    Modelling simplifications (documented in DESIGN.md):
    - ordinary wrong-path fetch after a misprediction is a fetch bubble
@@ -72,18 +71,14 @@ type recovery = {
   mutable r_pushed : int;
 }
 
-(* Correct-path supply: the generic [Source.t] abstraction (live
-   emulator or packed-trace cursor) or a pre-decoded image indexed by
-   [pos]. *)
-type supply = S_source of Source.t | S_image of Image.t
-
 type t = {
   config : Config.t;
   linked : Linked.t;
   sinfo : Static_info.t;
   (* Dense per-address diverge-branch table (Annotation.compile). *)
   diverge_at : Annotation.compiled option array;
-  supply : supply;
+  (* Correct-path events, indexed by [pos]. *)
+  image : Image.t;
   predictor : Predictor.t;
   conf : Conf.t;
   (* Dynamic merge-point predictor (Config.Dynamic provider only):
@@ -100,10 +95,10 @@ type t = {
   mutable cycle : int;
   mutable fetch_resume : int;
   mutable select_pending : int;
-  (* The supply's current event has been loaded but not yet fetched. *)
+  (* The current event (at [pos]) has been loaded but not yet fetched. *)
   mutable pending : bool;
   mutable trace_done : bool;
-  (* Image supply: index of the current (loaded) event; -1 initially. *)
+  (* Index of the current (loaded) event; -1 initially. *)
   mutable pos : int;
   mutable mode : mode;
   mutable recovery : recovery option;
@@ -111,17 +106,24 @@ type t = {
   mutable consumed : int;
 }
 
+(* [create_image] with the caller-supplied static-info table: the fused
+   sweep derives it once per kernel and shares it — read-only — across
+   every lane over the same linked program. *)
 let make_with ~sinfo ?(config = Config.baseline) ?annotation
-    ?(max_insts = max_int) linked supply =
+    ?(max_insts = max_int) linked image =
   let annotation =
     match annotation with Some a -> a | None -> Annotation.empty ()
   in
+  (* One bounds check here licenses the unchecked static-info and
+     diverge-table indexing in [fetch_image_cycle]. *)
+  if Image.max_addr image >= Static_info.size sinfo then
+    invalid_arg "Sim.create_image: image addresses exceed the linked program";
   {
     config;
     linked;
     sinfo;
     diverge_at = Annotation.compile ~size:(Static_info.size sinfo) annotation;
-    supply;
+    image;
     predictor = Predictor.of_name config.Config.predictor;
     conf =
       Conf.create ~log2_entries:config.Config.conf_log2_entries
@@ -149,45 +151,18 @@ let make_with ~sinfo ?(config = Config.baseline) ?annotation
     consumed = 0;
   }
 
-let make ?config ?annotation ?max_insts linked supply =
-  make_with ~sinfo:(Static_info.of_linked linked) ?config ?annotation
-    ?max_insts linked supply
-
-let create_source ?config ?annotation ?max_insts linked source =
-  make ?config ?annotation ?max_insts linked (S_source source)
-
-let create ?config ?annotation ?max_insts linked ~input =
-  create_source ?config ?annotation ?max_insts linked
-    (Source.live (Emulator.create linked ~input))
-
-let create_replay ?config ?annotation ?max_insts linked trace =
-  create_source ?config ?annotation ?max_insts linked (Source.replay trace)
-
-(* [create_image] with the caller-supplied static-info table: the fused
-   sweep derives it once per kernel and shares it — read-only — across
-   every lane over the same linked program. *)
-let create_image_with ~sinfo ?config ?annotation ?max_insts linked image =
-  let t =
-    make_with ~sinfo ?config ?annotation ?max_insts linked (S_image image)
-  in
-  (* One bounds check here licenses the unchecked static-info and
-     diverge-table indexing in [fetch_image_cycle]. *)
-  if Image.max_addr image >= Static_info.size t.sinfo then
-    invalid_arg "Sim.create_image: image addresses exceed the linked program";
-  t
-
 let create_image ?config ?annotation ?max_insts linked image =
-  create_image_with ~sinfo:(Static_info.of_linked linked) ?config ?annotation
+  make_with ~sinfo:(Static_info.of_linked linked) ?config ?annotation
     ?max_insts linked image
 
-(* ---------- trace supply ----------
+(* ---------- correct-path events ----------
 
-   [peek]/[consume] load the supply's next event; the event itself is
-   read through the [Source] current-event accessors (or the image
-   buffers at [t.pos]), which stay valid from the [peek] that loaded it
-   until the next [peek] after its [consume]. *)
+   [peek] loads the next event (a position bump); [consume] takes it.
+   The event's fields are read from the image buffers at [t.pos], which
+   stays put from the [peek] that loaded it until the next [peek] after
+   its [consume]. *)
 
-let peek t s =
+let peek t =
   t.pending
   ||
   if t.trace_done then false
@@ -195,35 +170,7 @@ let peek t s =
     t.trace_done <- true;
     false
   end
-  else if Source.advance s then begin
-    t.pending <- true;
-    true
-  end
-  else begin
-    t.trace_done <- true;
-    false
-  end
-
-let consume t s =
-  peek t s
-  && begin
-       t.pending <- false;
-       t.consumed <- t.consumed + 1;
-       true
-     end
-
-(* Image supply: same protocol with the cursor decode replaced by a
-   position bump. *)
-
-let ipeek t (img : Image.t) =
-  t.pending
-  ||
-  if t.trace_done then false
-  else if t.consumed >= t.max_insts then begin
-    t.trace_done <- true;
-    false
-  end
-  else if t.pos + 1 < img.Image.len then begin
+  else if t.pos + 1 < t.image.Image.len then begin
     t.pos <- t.pos + 1;
     t.pending <- true;
     true
@@ -233,8 +180,8 @@ let ipeek t (img : Image.t) =
     false
   end
 
-let iconsume t img =
-  ipeek t img
+let consume t =
+  peek t
   && begin
        t.pending <- false;
        t.consumed <- t.consumed + 1;
@@ -621,105 +568,13 @@ let[@inline] branch_event t ~(in_dpred : dpred option) ~addr ~taken ~target
   if branches >= t.config.Config.max_branches_per_cycle then raise Stop_fetch;
   if taken then raise Stop_fetch
 
-(* Fetch correct-path (trace) instructions for one cycle from the
-   generic supply. [in_dpred] carries the dpred state when the correct
-   side is one of the two predicated paths. Returns unit; updates all
-   machine state. *)
-let fetch_trace_cycle t (s : Source.t) ~(in_dpred : dpred option) =
-  let slots = ref t.config.Config.fetch_width in
-  let branches = ref 0 in
-  (try
-     while !slots > 0 do
-       if t.select_pending > 0 then begin
-         if rob_full t then raise Stop_fetch;
-         rob_push t (t.cycle + t.config.Config.front_depth
-                     + t.config.Config.select_uop_latency);
-         t.select_pending <- t.select_pending - 1;
-         t.stats.Stats.select_uops <- t.stats.Stats.select_uops + 1;
-         decr slots
-       end
-       else if rob_full t then raise Stop_fetch
-       else begin
-         (match in_dpred with
-         | Some d when peek t s ->
-             (* Stop the correct side at a CFM point before fetching it. *)
-             let next_fetch = Source.addr s in
-             if Annotation.is_cfm d.d_cfm next_fetch then begin
-               d.d_correct_stop <- next_fetch;
-               raise Stop_fetch
-             end
-         | Some _ | None -> ());
-         if not (consume t s) then raise Stop_fetch
-         else begin
-           let addr = Source.addr s in
-           let next = Source.next_addr s in
-           (* Loop dpred-mode ends when the trace reaches the loop's
-              exit target through any path. *)
-           (match t.mode with
-           | M_loop l when addr = l.l_exit_target -> t.mode <- M_normal
-           | M_loop _ | M_normal | M_dpred _ -> ());
-           let info = Static_info.get t.sinfo addr in
-           (* Train the dynamic merge-point predictor on the consumed
-              (architectural) stream; conditional branches train inside
-              their arm, where the direction is known. *)
-           (match t.mpt with
-           | Some m -> (
-               match info.Static_info.klass with
-               | Static_info.K_branch -> ()
-               | Static_info.K_call -> Mpt.observe_call m ~addr
-               | Static_info.K_ret -> Mpt.observe_ret m
-               | _ -> Mpt.observe m ~addr)
-           | None -> ());
-           match info.Static_info.klass with
-           | Static_info.K_branch ->
-               incr branches;
-               let taken = Source.taken s in
-               let target = Source.p1 s in
-               let fall = Source.p2 s in
-               (match t.mpt with
-               | Some m -> Mpt.observe_branch m ~addr ~taken
-               | None -> ());
-               let o = process_cond_branch t ~addr ~taken ~info in
-               decr slots;
-               branch_event t ~in_dpred ~addr ~taken ~target ~fall
-                 ~branches:!branches o
-           | Static_info.K_ret ->
-               let d = complete t ~info ~loc:0 in
-               rob_push t d;
-               decr slots;
-               (match in_dpred with
-               | Some dp when dp.d_return_cfm ->
-                   dp.d_correct_stop <- -2;
-                   raise Stop_fetch
-               | _ -> ());
-               if next <> addr + 1 then raise Stop_fetch
-           | Static_info.K_load | Static_info.K_store ->
-               (* Memory events always carry their location. *)
-               let d = complete t ~info ~loc:(Source.p1 s) in
-               rob_push t d;
-               decr slots;
-               if next <> addr + 1 && next <> Event.halted_next then
-                 raise Stop_fetch
-           | _ ->
-               let d = complete t ~info ~loc:0 in
-               rob_push t d;
-               decr slots;
-               (* Taken control transfers end the fetch cycle, except
-                  fall-through jumps to the next address. *)
-               if next <> addr + 1 && next <> Event.halted_next then
-                 raise Stop_fetch
-         end
-       end
-     done
-   with Stop_fetch -> ())
-
-(* The same fetch cycle specialised on a pre-decoded image: per-event
-   fields are single array reads at [t.pos] (no cursor decode, no
-   accessor calls) and the static-info lookup indexes the dense table
-   unchecked — [create_image] validated every image address against the
-   table size. Must stay a line-for-line mirror of [fetch_trace_cycle]
-   (the equivalence is enforced by qcheck and integration tests). *)
-let fetch_image_cycle t (img : Image.t) ~(in_dpred : dpred option) =
+(* Fetch correct-path instructions for one cycle. [in_dpred] carries
+   the dpred state when the correct side is one of the two predicated
+   paths. Per-event fields are single array reads at [t.pos] and the
+   static-info lookup indexes the dense table unchecked — [make_with]
+   validated every image address against the table size. *)
+let fetch_image_cycle t ~(in_dpred : dpred option) =
+  let img = t.image in
   let addrs = img.Image.addr
   and nexts = img.Image.next
   and tags = img.Image.tag
@@ -741,18 +596,21 @@ let fetch_image_cycle t (img : Image.t) ~(in_dpred : dpred option) =
        else if rob_full t then raise Stop_fetch
        else begin
          (match in_dpred with
-         | Some d when ipeek t img ->
+         | Some d when peek t ->
+             (* Stop the correct side at a CFM point before fetching it. *)
              let next_fetch = Bigarray.Array1.unsafe_get addrs t.pos in
              if Annotation.is_cfm d.d_cfm next_fetch then begin
                d.d_correct_stop <- next_fetch;
                raise Stop_fetch
              end
          | Some _ | None -> ());
-         if not (iconsume t img) then raise Stop_fetch
+         if not (consume t) then raise Stop_fetch
          else begin
            let pos = t.pos in
            let addr = Bigarray.Array1.unsafe_get addrs pos in
            let next = Bigarray.Array1.unsafe_get nexts pos in
+           (* Loop dpred-mode ends when the trace reaches the loop's
+              exit target through any path. *)
            (match t.mode with
            | M_loop l when addr = l.l_exit_target -> t.mode <- M_normal
            | M_loop _ | M_normal | M_dpred _ -> ());
@@ -794,6 +652,7 @@ let fetch_image_cycle t (img : Image.t) ~(in_dpred : dpred option) =
                | _ -> ());
                if next <> addr + 1 then raise Stop_fetch
            | Static_info.K_load | Static_info.K_store ->
+               (* Memory events always carry their location. *)
                let d =
                  complete t ~info ~loc:(Bigarray.Array1.unsafe_get p1s pos)
                in
@@ -805,17 +664,14 @@ let fetch_image_cycle t (img : Image.t) ~(in_dpred : dpred option) =
                let d = complete t ~info ~loc:0 in
                rob_push t d;
                decr slots;
+               (* Taken control transfers end the fetch cycle, except
+                  fall-through jumps to the next address. *)
                if next <> addr + 1 && next <> Event.halted_next then
                  raise Stop_fetch
          end
        end
      done
    with Stop_fetch -> ())
-
-let fetch_correct t ~in_dpred =
-  match t.supply with
-  | S_source s -> fetch_trace_cycle t s ~in_dpred
-  | S_image img -> fetch_image_cycle t img ~in_dpred
 
 (* Fetch wrong-side (walker) instructions for one cycle during
    dpred-mode. *)
@@ -882,7 +738,7 @@ let dpred_cycle t (d : dpred) =
     d.d_turn <- not d.d_turn;
     if correct_active || wrong_active then
       if pick_correct && correct_active then
-        fetch_correct t ~in_dpred:(Some d)
+        fetch_image_cycle t ~in_dpred:(Some d)
       else if wrong_active then fetch_walker_cycle t d
   end
 
@@ -929,7 +785,7 @@ let step_cycle t =
       if t.cycle >= t.fetch_resume then begin
         match t.mode with
         | M_normal | M_loop _ ->
-            if not t.trace_done then fetch_correct t ~in_dpred:None
+            if not t.trace_done then fetch_image_cycle t ~in_dpred:None
         | M_dpred d -> dpred_cycle t d
       end
 
@@ -946,17 +802,13 @@ let run_to_completion t =
   done;
   finalize t
 
-let run ?config ?annotation ?max_insts linked ~input =
-  let t = create ?config ?annotation ?max_insts linked ~input in
-  run_to_completion t
-
-let run_replay ?config ?annotation ?max_insts linked trace =
-  let t = create_replay ?config ?annotation ?max_insts linked trace in
-  run_to_completion t
-
 let run_image ?config ?annotation ?max_insts linked image =
   let t = create_image ?config ?annotation ?max_insts linked image in
   run_to_completion t
+
+let run ?config ?annotation ?max_insts linked ~input =
+  run_image ?config ?annotation ?max_insts linked
+    (Image.of_trace (Trace.capture ?max_insts linked ~input))
 
 let stats t = t.stats
 
@@ -970,8 +822,7 @@ let merge_predictions t =
    predication and misprediction recovery are all bounded, so a safe
    cycle boundary recurs; restricting capture to those points keeps the
    episode state machines (walkers, dpred context) out of the snapshot
-   entirely. Only the image supply is checkpointable — [pos] makes the
-   trace position restorable, which a live emulator is not.
+   entirely. [pos] makes the trace position restorable.
 
    Layout: "core" holds the scalar machine state plus three shape
    fingerprints (image length, ROB size, register count) validated on
@@ -987,11 +838,6 @@ let at_safe_point t =
   && match t.recovery with None -> true | Some _ -> false
 
 let checkpoint t =
-  let image =
-    match t.supply with
-    | S_image img -> img
-    | S_source _ -> invalid_arg "Sim.checkpoint: requires an image supply"
-  in
   if not (at_safe_point t) then
     invalid_arg "Sim.checkpoint: not at a safe point (episode in progress)";
   let core =
@@ -999,7 +845,7 @@ let checkpoint t =
       t.cycle; t.fetch_resume; t.select_pending;
       (if t.pending then 1 else 0);
       (if t.trace_done then 1 else 0);
-      t.pos; Image.length image; Array.length t.rob; Array.length t.reg_ready;
+      t.pos; Image.length t.image; Array.length t.rob; Array.length t.reg_ready;
     |]
   in
   let len = Array.length t.rob in
@@ -1118,8 +964,7 @@ let run_image_fused ?config ?max_insts linked image lanes =
           (List.map
              (fun (annotation, from) ->
                let t =
-                 create_image_with ~sinfo ?config ?annotation ?max_insts
-                   linked image
+                 make_with ~sinfo ?config ?annotation ?max_insts linked image
                in
                match from with None -> t | Some ck -> resume_into t image ck)
              lanes)

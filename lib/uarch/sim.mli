@@ -17,12 +17,11 @@
     branches use the iteration-oriented mechanism with the paper's
     correct / early-exit / late-exit / no-exit cases.
 
-    The correct path is supplied three ways with bit-identical
-    statistics: a live emulator ({!create}), a packed-trace cursor
-    ({!create_replay}), or a pre-decoded {!Dmp_exec.Image.t}
-    ({!create_image}). The image path runs a specialised fetch loop
-    over the image's flat buffers — the fastest of the three; the
-    experiment sweep uses it for every simulation of a cached trace. *)
+    The correct path is a pre-decoded {!Dmp_exec.Image.t}: one fetch
+    loop reads each event from the image's flat buffers. {!run} over a
+    program input captures and decodes the image first; the experiment
+    sweep decodes each cached trace once and shares the image across
+    every simulation of it. *)
 
 open Dmp_ir
 open Dmp_exec
@@ -30,30 +29,15 @@ open Dmp_core
 
 type t
 
-val create :
-  ?config:Config.t -> ?annotation:Annotation.t -> ?max_insts:int ->
-  Linked.t -> input:int array -> t
-(** Execution-driven: the correct path is supplied by a live emulator
-    over [input]. *)
-
-val create_replay :
-  ?config:Config.t -> ?annotation:Annotation.t -> ?max_insts:int ->
-  Linked.t -> Trace.t -> t
-(** Trace-driven: the correct path is replayed from a packed trace of
-    the same linked program, producing statistics identical to
-    {!create} over the input the trace was captured from. The trace
-    must cover [max_insts] instructions (i.e. be captured with the same
-    or a larger cap, or be {!Trace.complete}); the replay hot path does
-    not allocate per event. *)
-
 val create_image :
   ?config:Config.t -> ?annotation:Annotation.t -> ?max_insts:int ->
   Linked.t -> Image.t -> t
-(** Trace-driven from a pre-decoded image of a trace of the same linked
-    program; statistics are identical to {!create_replay} over the
-    trace the image was decoded from. The per-event cost is plain array
-    indexing: decode the trace once with {!Image.of_trace}, then share
-    the image across every simulation of that (benchmark, input) pair.
+(** Simulate over a pre-decoded image of a trace of the same linked
+    program. The image must cover [max_insts] events (decoded from a
+    trace captured with the same or a larger cap, or a complete one).
+    The per-event cost is plain array indexing: decode the trace once
+    with {!Image.of_trace}, then share the image across every
+    simulation of that (benchmark, input) pair.
     @raise Invalid_argument if the image contains an address outside
     the linked program (it was decoded from some other program's
     trace). *)
@@ -63,12 +47,10 @@ val run_to_completion : t -> Stats.t
 val run :
   ?config:Config.t -> ?annotation:Annotation.t -> ?max_insts:int ->
   Linked.t -> input:int array -> Stats.t
-(** Convenience: [create] + [run_to_completion]. *)
-
-val run_replay :
-  ?config:Config.t -> ?annotation:Annotation.t -> ?max_insts:int ->
-  Linked.t -> Trace.t -> Stats.t
-(** Convenience: [create_replay] + [run_to_completion]. *)
+(** Convenience: capture a trace of the program over [input] (up to
+    [max_insts] events), decode it, and {!run_image} it. A caller that
+    simulates the same input twice should decode once and call
+    {!run_image}. *)
 
 val run_image :
   ?config:Config.t -> ?annotation:Annotation.t -> ?max_insts:int ->
@@ -119,14 +101,13 @@ val run_image_fused :
     point}: a cycle boundary in normal mode with no dpred episode and
     no misprediction recovery in flight. Episodes are bounded, so safe
     boundaries recur; restricting capture to them keeps the episode
-    state machines out of the snapshot. Only image-supplied simulations
-    are checkpointable (the image makes the trace position
-    restorable). *)
+    state machines out of the snapshot. The image makes the trace
+    position restorable. *)
 
 val checkpoint : t -> Dmp_exec.Checkpoint.t
 (** Snapshot the current state.
-    @raise Invalid_argument unless the simulation uses an image supply
-    and sits at a safe point. *)
+    @raise Invalid_argument unless the simulation sits at a safe
+    point. *)
 
 val resume_image :
   ?config:Config.t -> ?annotation:Annotation.t -> ?max_insts:int ->

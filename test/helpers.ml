@@ -6,6 +6,14 @@ module B = Build
 
 let reg = Reg.of_int
 
+(* Fail the current test on the first error-severity diagnostic. *)
+let fail_on_errors label ds =
+  let module D = Dmp_check.Diagnostic in
+  if D.has_errors ds then
+    Alcotest.failf "%s: %d violations; first: %s" label
+      (List.length (D.errors ds))
+      (Fmt.str "%a" D.pp (List.hd (D.errors ds)))
+
 (* if (r4 % 2) { r7 += 1 } else { r7 -= 1 }; common tail; repeated
    [iters] times. One unpredictable simple hammock. *)
 let simple_hammock_program ?(iters = 2000) ?(then_size = 3) ?(else_size = 3)

@@ -9,11 +9,7 @@ let check = Alcotest.check
 let first_error_string ds =
   Fmt.str "%a" D.pp (List.hd (D.errors ds))
 
-let fail_on_errors label ds =
-  if D.has_errors ds then
-    Alcotest.failf "%s: %d violations; first: %s" label
-      (List.length (D.errors ds))
-      (first_error_string ds)
+let fail_on_errors = Helpers.fail_on_errors
 
 let has_rule rule ds = List.exists (fun d -> d.D.rule = rule) ds
 

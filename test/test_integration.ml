@@ -92,12 +92,11 @@ let test_profile_input_set_robustness () =
     (diff > same *. 0.9)
 
 let test_replay_equals_live_across_suite () =
-  (* Every real benchmark: profiling and both simulator configurations
-     must be bit-identical whether the correct path comes from a live
-     emulator, a replayed packed trace, or a pre-decoded image of that
-     trace. *)
+  (* Every real benchmark: the packed trace and its pre-decoded image
+     deliver the live emulator's event stream event for event (the
+     image is the simulator's only correct-path supply), and profiling
+     is bit-identical from the live emulator and from the replay. *)
   let pbytes p = Marshal.to_string (Dmp_profile.Profile.to_raw p) [] in
-  let sbytes (s : Stats.t) = Marshal.to_string s [] in
   List.iter
     (fun spec ->
       let name = spec.Spec.name in
@@ -105,39 +104,11 @@ let test_replay_equals_live_across_suite () =
       let input = spec.Spec.input Input_gen.Reduced in
       let tr = Dmp_exec.Trace.capture ~max_insts:cap linked ~input in
       let img = Dmp_exec.Image.of_trace tr in
-      let profile =
-        Dmp_profile.Profile.collect ~max_insts:cap linked ~input
-      in
+      Helpers.fail_on_errors name
+        (Dmp_check.Oracle.check_streams ~max_insts:cap linked ~input tr img);
       check Alcotest.bool (name ^ ": profile identical") true
-        (pbytes profile
-        = pbytes (Dmp_profile.Profile.collect_trace ~max_insts:cap linked tr));
-      let base_live =
-        sbytes (Sim.run ~config:Config.baseline ~max_insts:cap linked ~input)
-      in
-      check Alcotest.bool (name ^ ": baseline identical") true
-        (base_live
-        = sbytes
-            (Sim.run_replay ~config:Config.baseline ~max_insts:cap linked tr));
-      check Alcotest.bool (name ^ ": baseline image identical") true
-        (base_live
-        = sbytes
-            (Sim.run_image ~config:Config.baseline ~max_insts:cap linked img));
-      let ann = Select.run linked profile in
-      let dmp_live =
-        sbytes
-          (Sim.run ~config:Config.dmp ~annotation:ann ~max_insts:cap linked
-             ~input)
-      in
-      check Alcotest.bool (name ^ ": dmp identical") true
-        (dmp_live
-        = sbytes
-            (Sim.run_replay ~config:Config.dmp ~annotation:ann ~max_insts:cap
-               linked tr));
-      check Alcotest.bool (name ^ ": dmp image identical") true
-        (dmp_live
-        = sbytes
-            (Sim.run_image ~config:Config.dmp ~annotation:ann ~max_insts:cap
-               linked img)))
+        (pbytes (Dmp_profile.Profile.collect ~max_insts:cap linked ~input)
+        = pbytes (Dmp_profile.Profile.collect_trace ~max_insts:cap linked tr)))
     Registry.all
 
 let test_selection_deterministic () =

@@ -115,7 +115,7 @@ let mem_cache_model_prop =
         Gen.(0 -- 40)
         (triple (int_bound 2) (int_bound 7) (int_bound 100)))
     (fun ops ->
-      let cache = Mem_cache.create ~budget ~name:"model-test" () in
+      let cache = Dmp_exec.Mem_cache.create ~budget ~name:"model-test" () in
       let model = ref [] in
       let total m = List.fold_left (fun a (_, s) -> a + s) 0 m in
       List.for_all
@@ -123,13 +123,13 @@ let mem_cache_model_prop =
           let key = "k" ^ string_of_int ki in
           (match op with
           | 0 ->
-              Mem_cache.add cache key ~size size;
+              Dmp_exec.Mem_cache.add cache key ~size size;
               model := (key, size) :: List.remove_assoc key !model;
               while total !model > budget && !model <> [] do
                 model := drop_last !model
               done
           | 1 ->
-              let hit = Mem_cache.find cache key <> None in
+              let hit = Dmp_exec.Mem_cache.find cache key <> None in
               let model_hit = List.mem_assoc key !model in
               if model_hit then begin
                 let s = List.assoc key !model in
@@ -137,30 +137,30 @@ let mem_cache_model_prop =
               end;
               if hit <> model_hit then failwith "hit mismatch"
           | _ ->
-              Mem_cache.remove cache key;
+              Dmp_exec.Mem_cache.remove cache key;
               model := List.remove_assoc key !model);
-          let s = Mem_cache.stats cache in
-          Mem_cache.keys cache = List.map fst !model
-          && s.Mem_cache.bytes = total !model
-          && s.Mem_cache.bytes <= budget
-          && s.Mem_cache.entries = List.length !model)
+          let s = Dmp_exec.Mem_cache.stats cache in
+          Dmp_exec.Mem_cache.keys cache = List.map fst !model
+          && s.Dmp_exec.Mem_cache.bytes = total !model
+          && s.Dmp_exec.Mem_cache.bytes <= budget
+          && s.Dmp_exec.Mem_cache.entries = List.length !model)
         ops)
 
 let test_mem_cache_counters () =
-  let c = Mem_cache.create ~budget:100 ~name:"counters" () in
-  Mem_cache.add c "a" ~size:60 1;
-  Mem_cache.add c "b" ~size:60 2;
+  let c = Dmp_exec.Mem_cache.create ~budget:100 ~name:"counters" () in
+  Dmp_exec.Mem_cache.add c "a" ~size:60 1;
+  Dmp_exec.Mem_cache.add c "b" ~size:60 2;
   (* b's add pushed a out *)
-  let s = Mem_cache.stats c in
-  check Alcotest.int "evictions" 1 s.Mem_cache.evictions;
-  check Alcotest.bool "a evicted" true (Mem_cache.find c "a" = None);
-  check Alcotest.bool "b live" true (Mem_cache.find c "b" = Some 2);
-  let s = Mem_cache.stats c in
-  check Alcotest.int "hits" 1 s.Mem_cache.hits;
-  check Alcotest.int "misses" 1 s.Mem_cache.misses;
+  let s = Dmp_exec.Mem_cache.stats c in
+  check Alcotest.int "evictions" 1 s.Dmp_exec.Mem_cache.evictions;
+  check Alcotest.bool "a evicted" true (Dmp_exec.Mem_cache.find c "a" = None);
+  check Alcotest.bool "b live" true (Dmp_exec.Mem_cache.find c "b" = Some 2);
+  let s = Dmp_exec.Mem_cache.stats c in
+  check Alcotest.int "hits" 1 s.Dmp_exec.Mem_cache.hits;
+  check Alcotest.int "misses" 1 s.Dmp_exec.Mem_cache.misses;
   check Alcotest.bool "oversized entry rejected" true
-    (Mem_cache.add c "huge" ~size:1000 3;
-     Mem_cache.mem c "huge" = false)
+    (Dmp_exec.Mem_cache.add c "huge" ~size:1000 3;
+     Dmp_exec.Mem_cache.mem c "huge" = false)
 
 (* ---------- service: coalescing and byte-identity ---------- *)
 
@@ -240,8 +240,8 @@ let test_service_warm_hit () =
   let r2, _ = Service.respond svc req in
   check Alcotest.bool "identical warm body" true (r1 = r2);
   let s = Service.response_stats svc in
-  check Alcotest.int "warm hit counted" 1 s.Mem_cache.hits;
-  check Alcotest.int "one miss" 1 s.Mem_cache.misses
+  check Alcotest.int "warm hit counted" 1 s.Dmp_exec.Mem_cache.hits;
+  check Alcotest.int "one miss" 1 s.Dmp_exec.Mem_cache.misses
 
 let test_service_errors () =
   let svc = small_service () in
@@ -262,7 +262,7 @@ let test_service_errors () =
              { bench = "li"; set = "reduced"; algo = "wat" })));
   (* errors are counted but never cached *)
   let s = Service.response_stats svc in
-  check Alcotest.int "nothing cached" 0 s.Mem_cache.entries
+  check Alcotest.int "nothing cached" 0 s.Dmp_exec.Mem_cache.entries
 
 (* The daemon serves through the runner's replay pipeline; the offline
    CLI computes live. Both must render byte-identical reports — the
@@ -523,6 +523,40 @@ let test_server_survives_garbage () =
       | _ -> Alcotest.fail "daemon died after adversarial input");
       Client.close c)
 
+(* Shutdown: [run] must return and unlink the socket whether the stop
+   comes before [run] starts or while it waits in [select]. A bounded
+   wait turns a hang into a failure. *)
+let run_until_stopped ~stop_before =
+  let dir = Filename.temp_file "dmp_serve" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let path = Filename.concat dir "d.sock" in
+  let server = Server.create ~service:(small_service ()) ~unix_path:path () in
+  if stop_before then Server.stop server;
+  let returned = Atomic.make false in
+  let th =
+    Thread.create
+      (fun () ->
+        Server.run server;
+        Atomic.set returned true)
+      ()
+  in
+  if not stop_before then begin
+    Thread.delay 0.1;
+    Server.stop server
+  end;
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (Atomic.get returned)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  check Alcotest.bool "run returned" true (Atomic.get returned);
+  Thread.join th;
+  check Alcotest.bool "socket unlinked" false (Sys.file_exists path);
+  Sys.rmdir dir
+
+let test_server_stop_before_run () = run_until_stopped ~stop_before:true
+let test_server_stop_during_select () = run_until_stopped ~stop_before:false
+
 let qcheck q = QCheck_alcotest.to_alcotest q
 
 let () =
@@ -564,5 +598,9 @@ let () =
           Alcotest.test_case "end to end" `Slow test_server_end_to_end;
           Alcotest.test_case "survives garbage" `Slow
             test_server_survives_garbage;
+          Alcotest.test_case "stop before run" `Quick
+            test_server_stop_before_run;
+          Alcotest.test_case "stop during select" `Quick
+            test_server_stop_during_select;
         ] );
     ]
