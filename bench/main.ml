@@ -89,6 +89,11 @@ let micro () =
       Test.make ~name:"select-all-best-heur"
         (Staged.stage (fun () ->
              ignore (Dmp_core.Select.run linked profile)));
+      Test.make ~name:"select-all-best-cost"
+        (Staged.stage (fun () ->
+             ignore
+               (Dmp_core.Select.run ~config:Dmp_core.Select.all_cost linked
+                  profile)));
       Test.make ~name:"profile-100k"
         (Staged.stage (fun () ->
              ignore

@@ -23,22 +23,33 @@ let instr_defs ins =
   | Instr.Call _ -> []
   | _ -> List.map Reg.to_int (Instr.defs ins)
 
-let block_transfer b live_out =
-  (* Walk the block backwards, starting from the terminator. *)
-  let live = ref live_out in
+(* A block's effect on liveness, [live_in = gen ∪ (live_out − kill)]:
+   [gen] is what a backward walk from the terminator's uses leaves live
+   (the upward-exposed uses) and [kill] every register the body writes.
+   Computed once per block, so the fixpoint below only does set
+   algebra. *)
+let gen_kill b =
+  let gen = ref Rset.empty and kill = ref Rset.empty in
   List.iter
-    (fun r -> live := Rset.add (Reg.to_int r) !live)
+    (fun r -> gen := Rset.add (Reg.to_int r) !gen)
     (Term.uses b.Block.term);
   for i = Array.length b.Block.body - 1 downto 0 do
     let ins = b.Block.body.(i) in
-    List.iter (fun r -> live := Rset.remove r !live) (instr_defs ins);
-    List.iter (fun r -> live := Rset.add r !live) (instr_uses ins)
+    List.iter
+      (fun r ->
+        gen := Rset.remove r !gen;
+        kill := Rset.add r !kill)
+      (instr_defs ins);
+    List.iter (fun r -> gen := Rset.add r !gen) (instr_uses ins)
   done;
-  !live
+  (!gen, !kill)
 
 let of_func f =
   let n = Func.num_blocks f in
-  let live_in = Array.make n Rset.empty in
+  let transfer = Array.init n (fun b -> gen_kill (Func.block f b)) in
+  (* Invariant: [live_in.(b) = gen ∪ (live_out.(b) − kill)], so a block
+     needs recomputing only when its [live_out] changes. *)
+  let live_in = Array.map fst transfer in
   let live_out = Array.make n Rset.empty in
   let exit_live = Rset.singleton (Reg.to_int Reg.ret_value) in
   let changed = ref true in
@@ -56,11 +67,10 @@ let of_func f =
               Rset.empty
               (Term.successors blk.Block.term)
       in
-      let inn = block_transfer blk out in
-      if not (Rset.equal out live_out.(b) && Rset.equal inn live_in.(b))
-      then begin
+      if not (Rset.equal out live_out.(b)) then begin
+        let gen, kill = transfer.(b) in
         live_out.(b) <- out;
-        live_in.(b) <- inn;
+        live_in.(b) <- Rset.union gen (Rset.diff out kill);
         changed := true
       end
     done

@@ -82,6 +82,17 @@ let check_program ?max_insts ?(mutate = false) ?(mutate_transform = false)
     Oracle.check_streams ?max_insts linked ~input trace image
     @ Oracle.check_profiles ?max_insts linked ~input trace
   in
+  (* Checkpointed DMP simulation under the first configuration's
+     annotation: a checkpointing run, a resume from every checkpoint and
+     the merged segment deltas must each reproduce the plain run. *)
+  let checkpoints =
+    match annotated with
+    | (label, _, ann) :: _ ->
+        Oracle.check_checkpoints ?max_insts
+          ~label:(Printf.sprintf "dmp[%s]" label)
+          Dmp_uarch.Config.dmp (Some ann) linked image
+    | [] -> []
+  in
   (* Dynamic merge-point provider: simulate with the small Merge Point
      Table, harvest every trained prediction and validate each against
      the true CFG. With [mutate], the first prediction is corrupted to
@@ -136,7 +147,7 @@ let check_program ?max_insts ?(mutate = false) ?(mutate_transform = false)
           ~ignore_regs:res.Dmp_transform.Pipeline.fresh_regs ~input ()
     else []
   in
-  structural @ ann_checks @ oracle @ mpp @ transform
+  structural @ ann_checks @ oracle @ checkpoints @ mpp @ transform
 
 type outcome = { name : string; diagnostics : Diagnostic.t list }
 

@@ -23,7 +23,8 @@ val check_program :
   ?gen:Generator.t -> Linked.t -> input:int array -> Diagnostic.t list
 (** Capture a trace, profile it, select under every configuration in
     {!configs}, validate structure and annotations, run the full
-    differential oracle, and validate the software-predication
+    differential oracle (with the checkpoint cross-check of a DMP
+    simulation under the first configuration's annotation), and validate the software-predication
     pipeline ({!Dmp_transform.Pipeline}) against the transform
     equivalence oracle. With [mutate], the first configuration's
     annotation is corrupted via {!mutate_annotation} first (the result

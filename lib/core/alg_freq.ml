@@ -88,8 +88,8 @@ let candidate_of_branch ?(apply_min_merge_prob = true) ctx ~func ~block =
                     Candidate.ret_prob;
                     ret_select_uops =
                       Context.ret_select_count ctx
-                        (Int_set.elements
-                           (Int_set.union a.Explore.defs b.Explore.defs));
+                        (Context.regs_of_mask
+                           (a.Explore.defs lor b.Explore.defs));
                     ret_longest = max a.Explore.longest b.Explore.longest;
                   }
               else None

@@ -35,24 +35,11 @@ let misp_rate c =
   if c.executed = 0 then 0.
   else float_of_int c.mispredicted /. float_of_int c.executed
 
-let zero_reach = Explore.
-  {
-    prob = 0.;
-    longest = 0;
-    weighted_sum = 0.;
-    best_path_prob = 0.;
-    best_path_insts = 0;
-    blocks = Int_set.empty;
-    defs = Int_set.empty;
-    max_cbr = 0;
-  }
-
 let make_cfm ctx ~func ~cfm_block ~exact ~merge_prob
     ~(reach_t : Explore.reach) ~(reach_nt : Explore.reach) =
   let select_uops =
     Context.select_count ctx ~func ~cfm_block
-      (Int_set.elements
-         (Int_set.union reach_t.Explore.defs reach_nt.Explore.defs))
+      (Context.regs_of_mask (reach_t.Explore.defs lor reach_nt.Explore.defs))
   in
   {
     cfm_block;
@@ -70,5 +57,5 @@ let make_cfm ctx ~func ~cfm_block ~exact ~merge_prob
     max_cbr = max reach_t.Explore.max_cbr reach_nt.Explore.max_cbr;
     select_uops;
     blocks_on_paths =
-      Int_set.union reach_t.Explore.blocks reach_nt.Explore.blocks;
+      Int_set.union (Explore.blocks reach_t) (Explore.blocks reach_nt);
   }

@@ -35,7 +35,6 @@ type t = {
 }
 
 val misp_rate : t -> float
-val zero_reach : Explore.reach
 
 val make_cfm :
   Context.t -> func:int -> cfm_block:int -> exact:bool ->

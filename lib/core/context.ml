@@ -13,6 +13,8 @@ type fn_ctx = {
       (* block size with Call instructions expanded to callee static size *)
   block_cbr : int array;
       (* conditional branches: own terminator plus callee static branches *)
+  block_def_mask : int array;
+      (* registers written, callees expanded, as a register mask *)
 }
 
 type t = {
@@ -39,9 +41,81 @@ let call_weights program =
     program.Program.funcs;
   (sizes, cbrs)
 
+(* Register sets as bit masks. A def is never r0 (writes to it are
+   dropped, see [Instr.defs]), so registers 1..63 take bits 0..62. *)
+let reg_bit r = 1 lsl (r - 1)
+
+let regs_of_mask m =
+  let rec go r acc =
+    if r = 0 then acc
+    else go (r - 1) (if m land reg_bit r <> 0 then r :: acc else acc)
+  in
+  go (Reg.count - 1) []
+
+let instr_defs acc ins =
+  List.fold_left
+    (fun acc r ->
+      let r = Reg.to_int r in
+      assert (r > 0);
+      acc lor reg_bit r)
+    acc (Instr.defs ins)
+
+let callee_index program = function
+  | Instr.Call { callee } -> Program.find_func program callee
+  | _ -> None
+
+(* Registers written by each block, with a call treated as writing
+   everything its callee writes, transitively through the call graph
+   (a conservative union). Each function's transitive mask is computed
+   once and shared by every block that calls it. *)
+let all_block_defs program =
+  let funcs = program.Program.funcs in
+  let n = Array.length funcs in
+  let fold_instrs f acc fn =
+    Array.fold_left (fun acc b -> Array.fold_left f acc b.Block.body) acc
+      fn.Func.blocks
+  in
+  let own = Array.map (fold_instrs instr_defs 0) funcs in
+  let callees =
+    Array.map
+      (fold_instrs
+         (fun acc ins ->
+           match callee_index program ins with
+           | Some fi -> fi :: acc
+           | None -> acc)
+         [])
+      funcs
+  in
+  let closure =
+    Array.init n (fun root ->
+        let seen = Array.make n false in
+        let rec visit acc fi =
+          if seen.(fi) then acc
+          else begin
+            seen.(fi) <- true;
+            List.fold_left visit (acc lor own.(fi)) callees.(fi)
+          end
+        in
+        visit 0 root)
+  in
+  Array.map
+    (fun f ->
+      Array.map
+        (fun b ->
+          Array.fold_left
+            (fun acc ins ->
+              let acc = instr_defs acc ins in
+              match callee_index program ins with
+              | Some fi -> acc lor closure.(fi)
+              | None -> acc)
+            0 b.Block.body)
+        f.Func.blocks)
+    funcs
+
 let create ?(params = Params.default) linked profile =
   let program = linked.Linked.program in
   let callee_size, callee_cbr = call_weights program in
+  let defs = all_block_defs program in
   let fns =
     Array.init (Program.num_funcs program) (fun index ->
         let f = Program.func program index in
@@ -73,6 +147,7 @@ let create ?(params = Params.default) linked profile =
           live = Live.of_func f;
           block_weight;
           block_cbr;
+          block_def_mask = defs.(index);
         })
   in
   { linked; profile; params; fns }
@@ -97,36 +172,7 @@ let block_start_addr t ~func ~block =
 
 let edge_prob t ~func ~block ~dir = Profile.edge_prob t.profile ~func ~block ~dir
 
-(* Registers written by a block, with calls treated as writing their
-   callee's defs (conservative union). *)
-let block_defs t ~func ~block =
-  let program = t.linked.Linked.program in
-  let rec func_defs seen name acc =
-    if List.mem name seen then acc
-    else
-      match Program.find_func program name with
-      | None -> acc
-      | Some fi ->
-          let f = Program.func program fi in
-          Array.fold_left
-            (fun acc b -> block_defs_raw (name :: seen) b acc)
-            acc f.Func.blocks
-  and block_defs_raw seen b acc =
-    Array.fold_left
-      (fun acc ins ->
-        let acc =
-          List.fold_left
-            (fun acc r -> Reg.to_int r :: acc)
-            acc (Instr.defs ins)
-        in
-        match ins with
-        | Instr.Call { callee } -> func_defs seen callee acc
-        | _ -> acc)
-      acc b.Block.body
-  in
-  let f = Program.func program func in
-  let b = Func.block f block in
-  List.sort_uniq Int.compare (block_defs_raw [] b [])
+let block_defs t ~func ~block = regs_of_mask t.fns.(func).block_def_mask.(block)
 
 (* Select-µops needed when two predicated paths writing [defs] merge at
    the entry of [cfm_block]: one per register live there. *)

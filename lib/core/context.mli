@@ -1,6 +1,7 @@
 (** Analysis context shared by all selection algorithms: per-function
-    CFG, dominators, post-dominators, natural loops, and call-expanded
-    block weights, together with the edge/branch profile. *)
+    CFG, dominators, post-dominators, natural loops, liveness, and
+    call-expanded block weights and register defs, together with the
+    edge/branch profile. *)
 
 open Dmp_ir
 open Dmp_cfg
@@ -15,6 +16,8 @@ type fn_ctx = {
   live : Live.t;
   block_weight : int array;
   block_cbr : int array;
+  block_def_mask : int array;
+      (** registers each block writes, callees expanded, as a mask *)
 }
 
 type t = {
@@ -37,9 +40,16 @@ val branch_addr' : Linked.t -> func:int -> block:int -> int
 val block_start_addr : t -> func:int -> block:int -> int
 val edge_prob : t -> func:int -> block:int -> dir:Cfg.dir -> float
 
+val regs_of_mask : int -> int list
+(** The register numbers of a register mask, in increasing order. A
+    mask has one bit per register 1..63 (register [r] is bit [r - 1]);
+    r0 is never written, so it never needs one. *)
+
 val block_defs : t -> func:int -> block:int -> int list
-(** Registers written by the block (callees expanded), as register
-    numbers; used to count select-µops. *)
+(** Registers written by the block, as sorted register numbers: its own
+    defs united with the defs of every function its calls reach. Used
+    to count select-µops. The masks behind it are computed once per
+    context by {!create}. *)
 
 val select_count : t -> func:int -> cfm_block:int -> int list -> int
 (** Select-µops for paths writing the given registers and merging at

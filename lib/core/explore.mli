@@ -17,8 +17,11 @@ type reach = {
   mutable weighted_sum : float;  (** Σ prob(path) · insts(path) *)
   mutable best_path_prob : float;
   mutable best_path_insts : int;  (** insts on the most frequent path *)
-  mutable blocks : Int_set.t;  (** blocks on paths before it *)
-  mutable defs : Int_set.t;  (** registers written before it *)
+  on_paths : Bytes.t;
+      (** blocks on paths before it, one bit per block of the function;
+          read it with {!blocks} *)
+  mutable defs : int;
+      (** registers written before it, as a {!Context.regs_of_mask} mask *)
   mutable max_cbr : int;
 }
 
@@ -39,6 +42,9 @@ val explore :
     time merging", footnote 3 of the paper). *)
 
 val reach : result -> int -> reach option
+
+val blocks : reach -> Int_set.t
+(** The blocks on paths before the reached block. *)
 
 val avg_insts : reach -> float
 (** Edge-profile expected instructions before the block, conditional on

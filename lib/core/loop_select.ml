@@ -61,14 +61,10 @@ let candidate_of_branch ctx ~func ~block =
                     0 loop.Loops.body
                 in
                 let body_defs =
-                  List.fold_left
-                    (fun acc b ->
-                      List.fold_left
-                        (fun acc r ->
-                          if List.mem r acc then acc else r :: acc)
-                        acc
-                        (Context.block_defs ctx ~func ~block:b))
-                    [] loop.Loops.body
+                  Context.regs_of_mask
+                    (List.fold_left
+                       (fun acc b -> acc lor fn.Context.block_def_mask.(b))
+                       0 loop.Loops.body)
                 in
                 let select_uops =
                   Context.select_count ctx ~func ~cfm_block:exit_target

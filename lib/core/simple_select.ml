@@ -42,8 +42,7 @@ let iposdom_cfm ctx ~func ~block =
             match (Explore.reach rt j, Explore.reach rnt j) with
             | Some a, Some b ->
                 Context.select_count ctx ~func ~cfm_block:j
-                  (Explore.Int_set.elements
-                     (Explore.Int_set.union a.Explore.defs b.Explore.defs))
+                  (Context.regs_of_mask (a.Explore.defs lor b.Explore.defs))
             | _, _ -> 4
           in
           Some

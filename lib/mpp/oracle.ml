@@ -100,11 +100,11 @@ let annotation linked =
            && cbrs <= params.Params.max_cbr
          then begin
            let defs =
-             List.concat_map
-               (fun b -> Context.block_defs ctx ~func ~block:b)
-               blocks
+             Context.regs_of_mask
+               (List.fold_left
+                  (fun acc b -> acc lor fn.Context.block_def_mask.(b))
+                  0 blocks)
            in
-           let defs = List.sort_uniq compare defs in
            let select_uops =
              Context.select_count ctx ~func ~cfm_block:ip defs
            in

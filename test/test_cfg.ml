@@ -191,6 +191,74 @@ let qcheck_postdom_props =
           done;
           !ok))
 
+(* Liveness as first written: every fixpoint round re-walks each block
+   instruction by instruction. [Live.of_func] summarises each block once
+   and must reach the same sets. *)
+let reference_live_in f =
+  let module R = Live.Rset in
+  let uses = function
+    | Instr.Call _ -> List.init 14 (fun i -> 2 + i)
+    | ins -> List.map Reg.to_int (Instr.uses ins)
+  and defs = function
+    | Instr.Call _ -> []
+    | ins -> List.map Reg.to_int (Instr.defs ins)
+  in
+  let n = Func.num_blocks f in
+  let live_in = Array.make n R.empty in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for b = n - 1 downto 0 do
+      let blk = Func.block f b in
+      let live =
+        ref
+          (match blk.Block.term with
+          | Term.Ret -> R.singleton (Reg.to_int Reg.ret_value)
+          | Term.Halt -> R.empty
+          | term ->
+              List.fold_left
+                (fun acc s -> R.union acc live_in.(s))
+                R.empty (Term.successors term))
+      in
+      List.iter
+        (fun r -> live := R.add (Reg.to_int r) !live)
+        (Term.uses blk.Block.term);
+      for i = Array.length blk.Block.body - 1 downto 0 do
+        let ins = blk.Block.body.(i) in
+        List.iter (fun r -> live := R.remove r !live) (defs ins);
+        List.iter (fun r -> live := R.add r !live) (uses ins)
+      done;
+      if not (R.equal !live live_in.(b)) then begin
+        live_in.(b) <- !live;
+        changed := true
+      end
+    done
+  done;
+  live_in
+
+(* On generated programs and on every registered benchmark. *)
+let test_liveness_reference () =
+  let programs =
+    List.map fst (Helpers.generated_programs ~seed:3 40)
+    @ List.map
+        (fun spec -> (Dmp_workload.Spec.linked spec).Linked.program)
+        Dmp_workload.Registry.all
+  in
+  List.iter
+    (fun program ->
+      Array.iter
+        (fun f ->
+          let live = Live.of_func f in
+          Array.iteri
+            (fun b expected ->
+              check Alcotest.(list int)
+                (Printf.sprintf "live-in of %s block %d" f.Func.name b)
+                (Live.Rset.elements expected)
+                (Live.Rset.elements (Live.live_in live b)))
+            (reference_live_in f))
+        program.Program.funcs)
+    programs
+
 let qcheck_loop_headers_dominate =
   QCheck.Test.make ~name:"loop headers dominate their bodies" ~count:80
     QCheck.(int_range 2 25)
@@ -225,7 +293,10 @@ let () =
           Alcotest.test_case "self loop" `Quick test_loops;
           Alcotest.test_case "nested" `Quick test_nested_loops;
         ] );
-      ( "liveness", [ Alcotest.test_case "hammock" `Quick test_liveness ] );
+      ( "liveness",
+        [ Alcotest.test_case "hammock" `Quick test_liveness;
+          Alcotest.test_case "matches reference" `Quick
+            test_liveness_reference ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest qcheck_dominator_props;

@@ -725,6 +725,111 @@ let qcheck_explore_invariants =
       done;
       !ok)
 
+(* ---------- analysis context ---------- *)
+
+(* Reference for [Context.block_defs]: the block's own defs united with
+   the defs of every function its calls reach, found by a plain walk of
+   the call graph from the block's call sites. *)
+let reference_block_defs program ~func ~block =
+  let instr_defs ins = List.map Reg.to_int (Instr.defs ins) in
+  let body_defs body = List.concat_map instr_defs (Array.to_list body) in
+  let reached = Hashtbl.create 8 in
+  let rec visit_calls body =
+    Array.iter
+      (function
+        | Instr.Call { callee } when not (Hashtbl.mem reached callee) -> (
+            match Program.find_func program callee with
+            | Some fi ->
+                let f = Program.func program fi in
+                Hashtbl.replace reached callee f;
+                Array.iter (fun b -> visit_calls b.Block.body) f.Func.blocks
+            | None -> ())
+        | _ -> ())
+      body
+  in
+  let b = Func.block (Program.func program func) block in
+  visit_calls b.Block.body;
+  let callee_defs =
+    Hashtbl.fold
+      (fun _ f acc ->
+        Array.fold_left (fun acc b -> body_defs b.Block.body @ acc) acc
+          f.Func.blocks)
+      reached []
+  in
+  List.sort_uniq Int.compare (body_defs b.Block.body @ callee_defs)
+
+let check_block_defs label program ~input =
+  let linked = Linked.link program in
+  let profile =
+    Dmp_profile.Profile.collect ~max_insts:2000 linked ~input
+  in
+  let ctx = Context.create linked profile in
+  Array.iteri
+    (fun func f ->
+      Array.iteri
+        (fun block _ ->
+          check
+            Alcotest.(list int)
+            (Printf.sprintf "%s: defs of %s block %d" label f.Func.name block)
+            (reference_block_defs program ~func ~block)
+            (Context.block_defs ctx ~func ~block))
+        f.Func.blocks)
+    program.Program.funcs;
+  ctx
+
+(* [f] and [g] call each other, [g] also calls [k], and [h] calls
+   itself: each block's defs take in every function its calls reach,
+   however deep, once. *)
+let test_block_defs_recursion () =
+  let r = reg in
+  let f = B.func "f" in
+  B.add f (r 10) (r 10) (B.imm 1);
+  B.branch f Term.Ne (r 4) (B.imm 0) ~target:"out" ();
+  B.label f "rec";
+  B.call f "g";
+  B.label f "out";
+  B.ret f;
+  let g = B.func "g" in
+  B.li g (r 11) 3;
+  B.call g "f";
+  B.call g "k";
+  B.mov g (r 14) (r 11);
+  B.ret g;
+  let k = B.func "k" in
+  B.li k (r 15) 0;
+  B.ret k;
+  let h = B.func "h" in
+  B.sub h (r 12) (r 12) (B.imm 1);
+  B.branch h Term.Gt (r 12) (B.imm 0) ~target:"again" ();
+  B.label h "done";
+  B.ret h;
+  B.label h "again";
+  B.call h "h";
+  B.ret h;
+  let m = B.func "main" in
+  B.li m (r 12) 4;
+  B.read m (r 4);
+  B.call m "f";
+  B.call m "h";
+  B.halt m;
+  let program =
+    Program.of_funcs_exn ~main:"main"
+      [ B.finish m; B.finish f; B.finish g; B.finish k; B.finish h ]
+  in
+  let ctx = check_block_defs "recursion" program ~input:[| 1; 0; 1; 0 |] in
+  let main = Option.get (Program.find_func program "main") in
+  check
+    Alcotest.(list int)
+    "main reaches f, g, k and h" [ 4; 10; 11; 12; 14; 15 ]
+    (Context.block_defs ctx ~func:main ~block:0)
+
+let test_block_defs_generated () =
+  List.iteri
+    (fun i (program, input) ->
+      ignore
+        (check_block_defs (Printf.sprintf "generated %d" i) program ~input))
+    (Helpers.generated_programs ~seed:5 40)
+
 (* ---------- selection invariants (property) ---------- *)
 
 let qcheck_selection_invariants =
@@ -934,6 +1039,13 @@ let () =
             test_if_convert_removes_flushes;
           Alcotest.test_case "profile gate" `Quick
             test_if_convert_profile_gate;
+        ] );
+      ( "context",
+        [
+          Alcotest.test_case "block defs through recursion" `Quick
+            test_block_defs_recursion;
+          Alcotest.test_case "block defs on generated programs" `Quick
+            test_block_defs_generated;
         ] );
       ( "properties",
         [

@@ -141,6 +141,140 @@ let qcheck_shift_history_pure =
       let b = p.Predictor.shift_history ~history:h ~taken in
       a = b)
 
+(* The perceptron as first written: [update] recomputes the dot product
+   [predict] already computed, reading the history with [History.bit].
+   Kept here as the reference the cached, shifting predictor must match
+   step for step. *)
+module Ref_perceptron = struct
+  type t = {
+    hist : History.t;
+    table : int array array;
+    threshold : int;
+    mutable history : int;
+  }
+
+  let create () =
+    let n = 31 in
+    { hist = History.make n;
+      table = Array.init 256 (fun _ -> Array.make (n + 1) 0);
+      threshold = int_of_float ((1.93 *. float_of_int n) +. 14.);
+      history = History.empty }
+
+  let row t addr = t.table.(addr mod Array.length t.table)
+
+  let output t ~history ~addr =
+    let w = row t addr in
+    let acc = ref w.(0) in
+    for i = 0 to History.length t.hist - 1 do
+      let x = if History.bit t.hist history i then 1 else -1 in
+      acc := !acc + (w.(i + 1) * x)
+    done;
+    !acc
+
+  let clamp v = max (-128) (min 127 v)
+
+  let update t ~addr ~taken =
+    let out = output t ~history:t.history ~addr in
+    if (out >= 0) <> taken || abs out <= t.threshold then begin
+      let w = row t addr in
+      let sign = if taken then 1 else -1 in
+      w.(0) <- clamp (w.(0) + sign);
+      for i = 0 to History.length t.hist - 1 do
+        let x = if History.bit t.hist t.history i then 1 else -1 in
+        w.(i + 1) <- clamp (w.(i + 1) + (sign * x))
+      done
+    end;
+    t.history <- History.shift t.hist t.history ~taken
+
+  let export t = Array.concat ([| t.history |] :: Array.to_list t.table)
+
+  let import t state =
+    let width = Array.length t.table.(0) in
+    t.history <- state.(0);
+    Array.iteri
+      (fun e w -> Array.blit state (1 + (e * width)) w 0 width)
+      t.table
+end
+
+type perceptron_op =
+  | Predict_update of int * bool  (** predict, then update the same addr *)
+  | Update of int * bool  (** update with no predict before it *)
+  | Predict_other of int * int * bool
+      (** predict one addr, then update another *)
+  | Speculate of int * bool * int
+      (** [predict_with_history] on the current or the previous history,
+          xor a small offset *)
+  | Snapshot  (** export both states *)
+  | Restore  (** import the last snapshot into both *)
+
+let perceptron_op =
+  (* Addresses span two table wraps so distinct addresses share rows. *)
+  let addr = QCheck.Gen.int_range 0 600 in
+  QCheck.Gen.(
+    frequency
+      [ (6, map2 (fun a t -> Predict_update (a, t)) addr bool);
+        (2, map2 (fun a t -> Update (a, t)) addr bool);
+        (2, map3 (fun a b t -> Predict_other (a, b, t)) addr addr bool);
+        (2, map3 (fun a prev d -> Speculate (a, prev, d)) addr bool
+              (int_range 0 3));
+        (1, return Snapshot);
+        (1, return Restore) ])
+
+let qcheck_perceptron_reference =
+  QCheck.Test.make ~name:"perceptron matches reference" ~count:60
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 300) perceptron_op))
+    (fun ops ->
+      let p = Predictor.perceptron () and r = Ref_perceptron.create () in
+      let snap = ref (p.Predictor.export_state ()) in
+      let previous = ref r.Ref_perceptron.history in
+      let update addr taken =
+        previous := r.Ref_perceptron.history;
+        p.Predictor.update ~addr ~taken;
+        Ref_perceptron.update r ~addr ~taken
+      in
+      let same_state () =
+        p.Predictor.history () = r.Ref_perceptron.history
+        && p.Predictor.export_state () = Ref_perceptron.export r
+      in
+      let predict addr =
+        p.Predictor.predict ~addr
+        = (Ref_perceptron.output r ~history:r.Ref_perceptron.history ~addr >= 0)
+      in
+      List.for_all
+        (fun op ->
+          let agree =
+            match op with
+            | Predict_update (addr, taken) ->
+                let ok = predict addr in
+                update addr taken;
+                ok
+            | Update (addr, taken) ->
+                update addr taken;
+                true
+            | Predict_other (a, b, taken) ->
+                let ok = predict a in
+                update b taken;
+                ok
+            | Speculate (addr, prev, d) ->
+                (* Offset 0 queries the architectural history, or the one
+                   the last update trained under. *)
+                let base =
+                  if prev then !previous else r.Ref_perceptron.history
+                in
+                let history = base lxor d in
+                p.Predictor.predict_with_history ~history ~addr
+                = (Ref_perceptron.output r ~history ~addr >= 0)
+            | Snapshot ->
+                snap := p.Predictor.export_state ();
+                !snap = Ref_perceptron.export r
+            | Restore ->
+                p.Predictor.import_state !snap;
+                Ref_perceptron.import r !snap;
+                true
+          in
+          agree && same_state ())
+        ops)
+
 let () =
   Alcotest.run "dmp_predictor"
     [
@@ -170,5 +304,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_predict_total;
           QCheck_alcotest.to_alcotest qcheck_shift_history_pure;
+          QCheck_alcotest.to_alcotest qcheck_perceptron_reference;
         ] );
     ]
